@@ -5,10 +5,8 @@ settings (sanjose14 backbone workload, 2D-bytes lattice by default):
 
 * ``update``              - the per-packet general entry point (the scalar baseline);
 * ``update_fast``         - the per-packet unit-weight fast path;
-* ``update_batch``        - the vectorized batch engine over the linked-bucket
-                            Space Saving counter, fed ``--batch-size`` chunks;
-* ``update_batch[array]`` - the same batch engine over the struct-of-arrays
-                            ``array_space_saving`` counter backend;
+* ``update_batch``        - the vectorized batch engine over the Space Saving
+                            counter, fed ``--batch-size`` chunks;
 * ``update_batch[ckpt]``   (with ``--checkpoint-every N``) - the batch engine
                             plus a durable checkpoint of the full runtime
                             state every N packets, bounding the
@@ -40,13 +38,13 @@ Saving semantics force per-event eviction work when every key misses a full
 table, while the sketch backend (``count_min``) has no eviction order to
 preserve and vectorizes completely.  ``storm_update[...]`` is the per-packet
 scalar loop and ``storm_batch[...]`` the batch engine, each over the sketch
-and the array Space Saving backends; ``--min-sketch-speedup`` gates the
+and the Space Saving backends; ``--min-sketch-speedup`` gates the
 sketch batch/scalar ratio (and stays armed under ``--smoke``).  The storm
 stream is parity-gated first: the sketch-counter batch feed must be
 bit-identical to its scalar reference twin.
 
-Before timing anything the script verifies the batch engine end to end: for
-each counter backend a seeded RHHH instance fed through the vectorized
+Before timing anything the script verifies the batch engine end to end: a
+seeded RHHH instance (Space Saving counters) fed through the vectorized
 ``update_batch`` must be bit-identical (same ``output(theta)`` candidates and
 same per-node counter state) to a same-seed instance fed through the scalar
 reference ``update_batch_reference``, and the MST instance likewise against
@@ -59,10 +57,8 @@ Runs standalone (no pytest-benchmark dependency)::
     PYTHONPATH=src python benchmarks/bench_batch_update.py --packets 100000 --json out.json
 
 Exit status is non-zero if verification fails, if ``--min-speedup`` is given
-and the measured linked-counter batch speedup over the ``update`` loop falls
-short, if ``--min-array-speedup`` is given and the array-backend batch
-speedup over the ``update`` loop falls short, or if ``--min-sketch-speedup``
-is given and the sketch batch/scalar ratio on the eviction-storm stream
+and the measured batch speedup over the ``update`` loop falls short, or if
+``--min-sketch-speedup`` is given and the sketch batch/scalar ratio on the eviction-storm stream
 falls short.
 """
 
@@ -82,7 +78,6 @@ from repro.core.ingest import RingBufferIngest, rechunk_batches
 from repro.core.rhhh import RHHH
 from repro.core.shard import ShardedHHH
 from repro.eval.reporting import format_table
-from repro.hh.array_space_saving import ArraySpaceSaving
 from repro.hhh.mst import MST
 from repro.hierarchy.onedim import ipv4_bit_hierarchy, ipv4_byte_hierarchy
 from repro.hierarchy.twodim import ipv4_two_dim_byte_hierarchy
@@ -93,11 +88,6 @@ HIERARCHIES = {
     "1d-bytes": ipv4_byte_hierarchy,
     "1d-bits": ipv4_bit_hierarchy,
     "2d-bytes": ipv4_two_dim_byte_hierarchy,
-}
-
-COUNTERS = {
-    "space_saving": "space_saving",
-    "array_space_saving": lambda epsilon: ArraySpaceSaving(epsilon=epsilon),
 }
 
 
@@ -120,11 +110,8 @@ def _parse_args(argv=None) -> argparse.Namespace:
                         help="stream prefix used for the MST scalar-vs-batch comparison "
                         "(the scalar loop costs O(H) per packet)")
     parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail (exit 1) if the linked-counter batch speedup over the "
-                        "update loop is below this")
-    parser.add_argument("--min-array-speedup", type=float, default=None,
-                        help="fail (exit 1) if the array-backend batch speedup over the "
-                        "update loop is below this")
+                        help="fail (exit 1) if the batch speedup over the update loop "
+                        "is below this")
     parser.add_argument("--storm-packets", type=int, default=200_000,
                         help="length of the all-distinct-keys eviction-storm stream used "
                         "for the sketch-vs-Space-Saving churn comparison")
@@ -169,7 +156,6 @@ def _parse_args(argv=None) -> argparse.Namespace:
         # eviction order to amortize, so it clears its gate even on the
         # smoke-sized storm stream.
         args.min_speedup = None
-        args.min_array_speedup = None
         args.min_shard_speedup = None
         # Keep the verification output() tractable: at Figure-5 epsilon the
         # candidate set explodes on short streams (the RHHH correction term
@@ -374,12 +360,11 @@ def main(argv=None) -> int:
     )
 
     verified: Dict[str, bool] = {}
-    for counter_name, counter in COUNTERS.items():
-        verified[counter_name] = verify_equivalence(args, hierarchy, batch_keys, counter)
-        print(
-            f"rhhh[{counter_name}] batch output bit-identical to sequential reference: "
-            f"{verified[counter_name]}"
-        )
+    verified["space_saving"] = verify_equivalence(args, hierarchy, batch_keys)
+    print(
+        f"rhhh[space_saving] batch output bit-identical to sequential reference: "
+        f"{verified['space_saving']}"
+    )
     verified["mst"] = verify_mst_equivalence(args, hierarchy, batch_keys)
     print(f"mst batch output bit-identical to sequential reference: {verified['mst']}")
     storm_scalar, storm_batch = _storm_keys(args, hierarchy)
@@ -556,13 +541,12 @@ def main(argv=None) -> int:
         "update": run_update,
         "update_fast": run_update_fast,
         "update_batch": lambda: run_batch("space_saving"),
-        "update_batch[array]": lambda: run_batch(COUNTERS["array_space_saving"]),
         "mst_update": run_mst_update,
         "mst_update_batch": run_mst_batch,
         "storm_update[sketch]": lambda: run_storm_update("count_min"),
         "storm_batch[sketch]": lambda: run_storm_batch("count_min"),
-        "storm_update[array]": lambda: run_storm_update(COUNTERS["array_space_saving"]),
-        "storm_batch[array]": lambda: run_storm_batch(COUNTERS["array_space_saving"]),
+        "storm_update[space_saving]": lambda: run_storm_update("space_saving"),
+        "storm_batch[space_saving]": lambda: run_storm_batch("space_saving"),
     }
     if args.checkpoint_every is not None:
         variants[f"update_batch[ckpt every {args.checkpoint_every}]"] = run_batch_checkpointed
@@ -606,19 +590,19 @@ def main(argv=None) -> int:
     print(format_table(rows, title="scalar vs batch update throughput (medians)"))
 
     speedup = baseline / medians["update_batch"]
-    array_speedup = baseline / medians["update_batch[array]"]
-    array_vs_linked = medians["update_batch"] / medians["update_batch[array]"]
     mst_speedup = medians["mst_update"] / medians["mst_update_batch"]
     sketch_storm_speedup = medians["storm_update[sketch]"] / medians["storm_batch[sketch]"]
-    array_storm_speedup = medians["storm_update[array]"] / medians["storm_batch[array]"]
-    sketch_vs_array_storm = medians["storm_batch[array]"] / medians["storm_batch[sketch]"]
+    space_saving_storm_speedup = (
+        medians["storm_update[space_saving]"] / medians["storm_batch[space_saving]"]
+    )
+    sketch_vs_space_saving_storm = (
+        medians["storm_batch[space_saving]"] / medians["storm_batch[sketch]"]
+    )
     print(f"\nbatch speedup over per-packet update loop:        {speedup:.2f}x")
-    print(f"array-backend batch speedup over update loop:     {array_speedup:.2f}x")
-    print(f"array backend vs linked counter (batch path):     {array_vs_linked:.2f}x")
     print(f"MST batch speedup over its scalar O(H) loop:      {mst_speedup:.2f}x")
     print(f"eviction storm: sketch batch over sketch loop:    {sketch_storm_speedup:.2f}x")
-    print(f"eviction storm: array batch over array loop:      {array_storm_speedup:.2f}x")
-    print(f"eviction storm: sketch batch over array batch:    {sketch_vs_array_storm:.2f}x")
+    print(f"eviction storm: Space Saving batch over its loop: {space_saving_storm_speedup:.2f}x")
+    print(f"eviction storm: sketch batch over Space Saving:   {sketch_vs_space_saving_storm:.2f}x")
     ingest_speedup = None
     if args.trace:
         ingest_speedup = (
@@ -663,12 +647,10 @@ def main(argv=None) -> int:
             "median_seconds": medians,
             "raw_seconds": times,
             "batch_speedup_vs_update": speedup,
-            "array_batch_speedup_vs_update": array_speedup,
-            "array_vs_scalar_counter_batch_ratio": array_vs_linked,
             "mst_batch_speedup": mst_speedup,
             "sketch_storm_speedup": sketch_storm_speedup,
-            "array_storm_speedup": array_storm_speedup,
-            "sketch_vs_array_storm_ratio": sketch_vs_array_storm,
+            "space_saving_storm_speedup": space_saving_storm_speedup,
+            "sketch_vs_space_saving_storm_ratio": sketch_vs_space_saving_storm,
             "shard_batch_speedup": shard_speedup,
             "ingest_overlap_speedup": ingest_speedup,
             "checkpoint_overhead_percent": checkpoint_overhead,
@@ -681,13 +663,6 @@ def main(argv=None) -> int:
     if args.min_speedup is not None and speedup < args.min_speedup:
         print(
             f"FAIL: batch speedup {speedup:.2f}x below required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    if args.min_array_speedup is not None and array_speedup < args.min_array_speedup:
-        print(
-            f"FAIL: array-backend batch speedup {array_speedup:.2f}x below required "
-            f"{args.min_array_speedup:.2f}x",
             file=sys.stderr,
         )
         failed = True

@@ -32,12 +32,6 @@ from repro.hh.count_sketch import CountSketch
 #: objects themselves.
 SPACE_SAVING_BYTES_PER_COUNTER = 220
 
-#: Estimated bytes per array-backed Space Saving counter: three int64 array
-#: cells (count, error, stamp), one key-list slot, and one ``key -> slot``
-#: dict entry - no linked-bucket objects, hence cheaper than the classic
-#: structure.
-ARRAY_SPACE_SAVING_BYTES_PER_COUNTER = 150
-
 #: Estimated bytes per entry of a plain ``{key: value}`` counter table
 #: (Misra-Gries, Lossy Counting, and the sketches' tracked-keys dict).
 DICT_ENTRY_BYTES = 140
@@ -48,7 +42,6 @@ SKETCH_CELL_BYTES = 8
 #: Backends the automatic chooser considers, in preference order.
 AUTO_CANDIDATES: Tuple[str, ...] = (
     "space_saving",
-    "array_space_saving",
     "count_min",
     "count_sketch",
 )
@@ -69,6 +62,8 @@ def estimate_counter_memory(
     delta: float = 0.01,
     track: Optional[int] = None,
     capacity: Optional[int] = None,
+    width: Optional[int] = None,
+    depth: Optional[int] = None,
 ) -> int:
     """Estimate the resident memory (bytes) of counter backend ``name``.
 
@@ -79,6 +74,8 @@ def estimate_counter_memory(
         track: tracked-keys bound for the sketches (``None`` = their default).
         capacity: explicit counter count for the table-based backends
             (``None`` derives ``ceil(1/epsilon)``).
+        width, depth: explicit sketch table dimensions (``None`` derives them
+            from ``epsilon``/``delta``, as the sketch constructors do).
 
     Raises:
         ConfigurationError: for a backend without a memory model (``exact``
@@ -91,28 +88,24 @@ def estimate_counter_memory(
     entries = capacity if capacity is not None else int(math.ceil(1.0 / epsilon))
     if name == "space_saving":
         return entries * SPACE_SAVING_BYTES_PER_COUNTER
-    if name == "array_space_saving":
-        return entries * ARRAY_SPACE_SAVING_BYTES_PER_COUNTER
     if name in ("misra_gries", "lossy_counting"):
         return entries * DICT_ENTRY_BYTES
     if name in ("count_min", "conservative_count_min"):
-        # Geometry comes from the sketch class itself, so the estimate prices
-        # exactly the table the constructor builds.
-        table = (
-            CountMinSketch.derived_depth(delta)
-            * CountMinSketch.derived_width(epsilon)
-            * SKETCH_CELL_BYTES
-        )
+        # Derived geometry comes from the sketch class itself, so the estimate
+        # prices exactly the table the constructor builds.
+        rows = depth if depth is not None else CountMinSketch.derived_depth(delta)
+        cols = width if width is not None else CountMinSketch.derived_width(epsilon)
+        table = rows * cols * SKETCH_CELL_BYTES
         return table + _tracked_keys(epsilon, track) * DICT_ENTRY_BYTES
     if name == "count_sketch":
-        # derived_depth includes the odd-depth bump CountSketch.__init__
-        # applies, so an even ceil(ln 1/delta) cannot under-count the table
-        # by one full row.
-        table = (
-            CountSketch.derived_depth(delta)
-            * CountSketch.derived_width(epsilon)
-            * SKETCH_CELL_BYTES
-        )
+        # CountSketch.__init__ bumps an even depth - derived or explicit - to
+        # the next odd one, so price the bumped table, not one row short.
+        if depth is None:
+            rows = CountSketch.derived_depth(delta)
+        else:
+            rows = depth if depth % 2 else depth + 1
+        cols = width if width is not None else CountSketch.derived_width(epsilon)
+        table = rows * cols * SKETCH_CELL_BYTES
         return table + _tracked_keys(epsilon, track) * DICT_ENTRY_BYTES
     if name == "exact":
         raise ConfigurationError("the 'exact' counter has no bounded memory footprint")
@@ -126,14 +119,18 @@ def choose_counter_backend(
     delta: float = 0.01,
     track: Optional[int] = None,
     working_set: Optional[int] = None,
+    capacity: Optional[int] = None,
+    width: Optional[int] = None,
+    depth: Optional[int] = None,
     candidates: Sequence[str] = AUTO_CANDIDATES,
 ) -> str:
     """Pick the counter backend that meets ``epsilon`` within ``memory_bytes``.
 
     Space Saving is preferred whenever it fits (it is the paper's counter and
-    its guarantees are deterministic); the array-backed variant - same
-    guarantees, compacter storage - is next when only it fits; otherwise the
-    fitting candidate with the smallest estimated footprint wins.
+    its guarantees are deterministic); otherwise the fitting candidate with
+    the smallest estimated footprint wins.  Geometry the caller pins
+    (``capacity`` for Space Saving, ``width``/``depth`` for the sketches) is
+    priced as pinned, not as ``epsilon`` would derive it.
 
     ``working_set`` makes the choice churn-aware: when the stream is expected
     to touch more distinct keys than the Space Saving capacity the budget
@@ -153,7 +150,15 @@ def choose_counter_backend(
     if working_set is not None and working_set < 1:
         raise ConfigurationError(f"working_set must be >= 1, got {working_set}")
     estimates: Dict[str, int] = {
-        name: estimate_counter_memory(name, epsilon=epsilon, delta=delta, track=track)
+        name: estimate_counter_memory(
+            name,
+            epsilon=epsilon,
+            delta=delta,
+            track=track,
+            capacity=capacity,
+            width=width,
+            depth=depth,
+        )
         for name in candidates
     }
     fitting = {name: size for name, size in estimates.items() if size <= memory_bytes}
@@ -164,11 +169,11 @@ def choose_counter_backend(
             f"the cheapest ({cheapest_name}) needs {cheapest_size} bytes - raise the "
             f"budget or relax epsilon"
         )
-    if working_set is not None and working_set > int(math.ceil(1.0 / epsilon)):
+    entries = capacity if capacity is not None else int(math.ceil(1.0 / epsilon))
+    if working_set is not None and working_set > entries:
         for preferred in _STORM_CANDIDATES:
             if preferred in fitting:
                 return preferred
-    for preferred in ("space_saving", "array_space_saving"):
-        if preferred in fitting:
-            return preferred
+    if "space_saving" in fitting:
+        return "space_saving"
     return min(fitting.items(), key=lambda item: item[1])[0]

@@ -1,11 +1,10 @@
 """Decorator-based plugin registries for algorithms, counters and hierarchies.
 
-These replace the positional-tuple factory dicts that used to live in
-``repro.hhh.registry`` and ``repro.hh.factory``: a registered factory takes
-arbitrary *typed* keyword arguments (``v``, ``updates_per_packet``,
-``counter=CounterSpec(...)``, sketch ``width``/``depth``, ``seed``, ...)
-instead of being locked to a fixed positional signature, and third parties
-extend the line-up with a decorator::
+A registered factory takes arbitrary *typed* keyword arguments (``v``,
+``updates_per_packet``, ``counter=CounterSpec(...)``, sketch
+``width``/``depth``, ``seed``, ...) instead of being locked to a fixed
+positional signature, and third parties extend the line-up with a
+decorator::
 
     from repro.api import register_algorithm, register_counter
 
@@ -19,9 +18,7 @@ extend the line-up with a decorator::
 
 Construction goes through :func:`build_algorithm` / :func:`build_counter`,
 which accept either a spec (:class:`~repro.api.specs.AlgorithmSpec` /
-:class:`~repro.api.specs.CounterSpec`) or a plain name.  The legacy
-``repro.hhh.registry.ALGORITHM_REGISTRY`` and ``repro.hh.factory.make_counter``
-surfaces remain as deprecation shims over this module.
+:class:`~repro.api.specs.CounterSpec`) or a plain name.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ from repro.api.specs import AlgorithmSpec, CounterSpec
 from repro.core.base import HHHAlgorithm
 from repro.core.rhhh import RHHH
 from repro.exceptions import ConfigurationError
-from repro.hh.array_space_saving import ArraySpaceSaving
 from repro.hh.base import CounterAlgorithm
 from repro.hh.conservative_update import ConservativeCountMin
 from repro.hh.count_min import CountMinSketch
@@ -219,13 +215,6 @@ def _build_space_saving(*, epsilon: Optional[float] = None, capacity: Optional[i
     return SpaceSaving(capacity=capacity, epsilon=epsilon)
 
 
-@register_counter("array_space_saving")
-def _build_array_space_saving(
-    *, epsilon: Optional[float] = None, capacity: Optional[int] = None
-) -> CounterAlgorithm:
-    return ArraySpaceSaving(capacity=capacity, epsilon=epsilon)
-
-
 @register_counter("misra_gries")
 def _build_misra_gries(*, epsilon: Optional[float] = None, capacity: Optional[int] = None) -> CounterAlgorithm:
     return MisraGries(capacity=capacity, epsilon=epsilon)
@@ -291,9 +280,8 @@ def _build_exact_counter(*, epsilon: Optional[float] = None) -> CounterAlgorithm
 # builtin algorithms
 # --------------------------------------------------------------------------- #
 # Deterministic baselines accept (and deliberately ignore) delta/seed for
-# line-up interchangeability, exactly like the legacy positional registry did;
-# parameters they genuinely cannot honour (e.g. v) are rejected with a
-# ConfigurationError by build_algorithm.
+# line-up interchangeability; parameters they genuinely cannot honour (e.g. v)
+# are rejected with a ConfigurationError by build_algorithm.
 
 
 @register_algorithm("rhhh")

@@ -183,6 +183,9 @@ class CounterSpec(_SpecBase):
                 delta=self.delta if self.delta is not None else 0.01,
                 track=self.track,
                 working_set=self.working_set,
+                capacity=self.capacity,
+                width=self.width,
+                depth=self.depth,
             )
         if epsilon is not None:
             floor = self.min_epsilon if self.min_epsilon is not None else DEFAULT_MIN_EPSILON.get(name, 0.0)

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import sys
 import time
 from pathlib import Path
@@ -77,10 +76,6 @@ from repro.traffic.trace_io import (
     write_trace_csv,
     write_trace_v2,
 )
-
-#: Hierarchy constructors, keyed by registry name (kept as a dict for
-#: backwards compatibility; the source of truth is the repro.api registry).
-HIERARCHIES = {name: functools.partial(make_hierarchy, name) for name in hierarchy_names()}
 
 FIGURES = {
     "fig2": figure_module.figure2_accuracy_error,
@@ -282,8 +277,7 @@ def _add_stream_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         choices=counter_names(),
         help="per-node counter backend (default: the algorithm's own, "
-        "Space Saving; use array_space_saving for the vectorized batch "
-        "backend)",
+        "Space Saving)",
     )
     parser.add_argument(
         "--shards",

@@ -127,13 +127,13 @@ def unique_key_array(masked, weights: Optional[np.ndarray]):
 def feed_counter(counter, masked, weights: Optional[np.ndarray]) -> None:
     """Apply an aggregated masked batch through the counter's fastest interface.
 
-    Counters that expose ``update_aggregated(keys, weights)`` (the
-    struct-of-arrays backends) receive the aggregation output verbatim -
-    distinct keys plus an int64 weight array.  Backends that additionally
-    declare ``AGGREGATED_KEY_ARRAYS = True`` (the sketches) get the unique
-    keys as a numpy array when the batch is numeric, skipping the Python
-    list round-trip entirely; everything else gets a key list, or the
-    equivalent ``(key, weight)`` pair stream via ``update_batch``.
+    Counters that expose ``update_aggregated(keys, weights)`` receive the
+    aggregation output verbatim - distinct keys plus an int64 weight array.
+    Backends that additionally declare ``AGGREGATED_KEY_ARRAYS = True`` (the
+    sketches) get the unique keys as a numpy array when the batch is
+    numeric, skipping the Python list round-trip entirely; otherwise they
+    get a key list.  Everything else gets the equivalent ``(key, weight)``
+    pair stream via ``update_batch``.
     """
     fast = getattr(counter, "update_aggregated", None)
     if fast is not None and getattr(counter, "AGGREGATED_KEY_ARRAYS", False):
@@ -203,14 +203,30 @@ def coerce_weights(
     ``weights=None`` stands for unit weights: the array stays ``None`` (the
     aggregation paths special-case it into plain counting) and the total is
     the batch length.
+
+    Raises:
+        ConfigurationError: when the lengths of keys and weights differ.
+        ValueError: when a weight is not a positive integer - the same error
+            a scalar ``update`` raises for a non-positive weight, raised
+            before the caller touches any state.
     """
     if weights is None:
         return None, n
-    weights_arr = np.asarray(weights, dtype=np.int64)
-    if len(weights_arr) != n:
-        raise ConfigurationError(
-            f"weights length ({len(weights_arr)}) does not match keys length ({n})"
-        )
+    raw = np.asarray(weights)
+    if len(raw) != n:
+        raise ConfigurationError(f"weights length ({len(raw)}) does not match keys length ({n})")
+    if raw.dtype.kind in "biu":
+        weights_arr = raw.astype(np.int64, copy=False)
+    else:
+        # Floats and objects: only whole numbers pass, so the batch never
+        # counts a truncated weight.
+        with np.errstate(invalid="ignore"):
+            weights_arr = raw.astype(np.int64)
+        inexact = weights_arr != raw
+        if inexact.any():
+            raise ValueError(f"weight must be a positive integer, got {raw[inexact][0]}")
+    if n and weights_arr.min() <= 0:
+        raise ValueError("weight must be positive")
     return weights_arr, int(weights_arr.sum())
 
 

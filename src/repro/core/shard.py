@@ -263,8 +263,7 @@ class ShardedHHH(HHHAlgorithm):
         if type(probe).merge is FrequencyEstimator.merge:
             raise ConfigurationError(
                 f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, array_space_saving, "
-                "misra_gries, count_min, count_sketch)"
+                "pick a mergeable backend (space_saving, misra_gries, count_min, count_sketch)"
             )
         # Hash partitioning is key-disjoint only where the counter keys ARE
         # the routed keys: the fully-specified (level-0) lattice node.

@@ -80,8 +80,7 @@ class Aggregator:
         if type(probe).merge is FrequencyEstimator.merge:
             raise ConfigurationError(
                 f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, array_space_saving, "
-                "misra_gries, count_min, count_sketch)"
+                "pick a mergeable backend (space_saving, misra_gries, count_min, count_sketch)"
             )
         self._expected_geometry = wire.algorithm_geometry(self._template, hierarchy, top_k=top_k)
         self._node_disjoint = [

@@ -65,10 +65,9 @@ KIND_DELTA = "delta"
 def encode_counter_state(counter: Any) -> Dict[str, Any]:
     """Snapshot one counter summary as plain wire data.
 
-    Space Saving summaries (either implementation) become the entries codec -
-    the compressible, delta-encodable form; anything else is shipped whole
-    via pickle (it still merges at the aggregator, it just cannot be
-    truncated).
+    Space Saving summaries become the entries codec - the compressible,
+    delta-encodable form; anything else is shipped whole via pickle (it
+    still merges at the aggregator, it just cannot be truncated).
     """
     if (
         hasattr(counter, "_entries")
@@ -92,11 +91,9 @@ def encode_counter_state(counter: Any) -> Dict[str, Any]:
 def decode_counter_state(state: Dict[str, Any]) -> Any:
     """Materialise a counter summary from its wire state.
 
-    The entries codec always rebuilds the linked-bucket
-    :class:`~repro.hh.space_saving.SpaceSaving` - the canonical receiver-side
-    representation; its merge is cross-implementation, so summaries shipped
-    from array-backed switches fold in identically.  Returns a fresh object
-    the caller may mutate (merge into) freely.
+    The entries codec rebuilds a :class:`~repro.hh.space_saving.SpaceSaving`
+    from its entries.  Returns a fresh object the caller may mutate (merge
+    into) freely.
     """
     codec = state.get("codec")
     if codec == "pickle":

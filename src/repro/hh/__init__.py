@@ -20,7 +20,6 @@ All algorithms share the :class:`~repro.hh.base.FrequencyEstimator` interface:
     every key whose estimated count is at least ``threshold``.
 """
 
-from repro.hh.array_space_saving import ArraySpaceSaving
 from repro.hh.base import FrequencyEstimator, HeavyHitter, CounterAlgorithm
 from repro.hh.exact_counter import ExactCounter
 from repro.hh.space_saving import SpaceSaving
@@ -29,20 +28,16 @@ from repro.hh.lossy_counting import LossyCounting
 from repro.hh.count_min import CountMinSketch
 from repro.hh.count_sketch import CountSketch
 from repro.hh.conservative_update import ConservativeCountMin
-from repro.hh.factory import make_counter, COUNTER_REGISTRY
 
 __all__ = [
     "FrequencyEstimator",
     "HeavyHitter",
     "CounterAlgorithm",
     "ExactCounter",
-    "ArraySpaceSaving",
     "SpaceSaving",
     "MisraGries",
     "LossyCounting",
     "CountMinSketch",
     "CountSketch",
     "ConservativeCountMin",
-    "make_counter",
-    "COUNTER_REGISTRY",
 ]

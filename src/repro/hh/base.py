@@ -122,7 +122,7 @@ class FrequencyEstimator(abc.ABC):
         raise ConfigurationError(
             f"counter backend {type(self).__name__} does not support merge(); "
             "sharded execution requires a mergeable counter "
-            "(space_saving, array_space_saving, misra_gries, count_min, count_sketch)"
+            "(space_saving, misra_gries, count_min, count_sketch)"
         )
 
 

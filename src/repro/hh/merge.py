@@ -2,10 +2,9 @@
 
 Sharded execution (:mod:`repro.core.shard`) partitions one stream across
 worker processes, each owning independent counter summaries, and reduces the
-per-shard summaries with ``merge`` at output time.  The two Space Saving
-implementations (linked-bucket and struct-of-arrays) share the same summary
-semantics, so they share the merged-state computation in this module; the
-sketches and Misra-Gries implement their own merges in place.
+per-shard summaries with ``merge`` at output time.  This module holds the
+Space Saving merged-state computation and the compatibility checks the
+sketches and Misra-Gries use for their own in-place merges.
 
 Space Saving merge (the mergeable-summaries construction)
 ---------------------------------------------------------
@@ -27,9 +26,8 @@ key absent from the other summary genuinely has count zero there, so the
 merged error stays the single shard's own bound.
 
 The kept set is chosen by a canonical order (count descending, stable over
-the per-key canonical key order), so both Space Saving implementations - and
-a serial versus a process-pool shard reduction - produce identical merged
-states for identical inputs.
+the per-key canonical key order), so a serial and a process-pool shard
+reduction produce identical merged states for identical inputs.
 """
 
 from __future__ import annotations

@@ -350,7 +350,7 @@ class SpaceSaving(CounterAlgorithm):
         self._total = total
 
     def merge(self, other, *, disjoint: bool = False) -> None:
-        """Fold another Space Saving summary (either implementation) into this one.
+        """Fold another Space Saving summary into this one.
 
         Guarantee (see :mod:`repro.hh.merge`): with exact combined counts
         ``f``, the merged summary satisfies ``lower_bound(k) <= f(k) <=

@@ -31,7 +31,7 @@ class MeasurementVM:
 
     It receives the sampled packets and performs one counter update per
     received packet.  Any spec-built lattice algorithm can sit on the VM side
-    (a sharded engine, an array-backed RHHH, MST); a *plain* RHHH must be
+    (a sharded engine, a sketch-backed RHHH, MST); a *plain* RHHH must be
     configured with ``V = H``, because the ``V > H`` sampling already
     happened at the switch and sampling twice would double-discount the
     stream.

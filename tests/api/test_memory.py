@@ -47,25 +47,14 @@ class TestChooser:
         budget = estimate_counter_memory("space_saving", epsilon=0.01) + 1
         assert choose_counter_backend(budget, epsilon=0.01) == "space_saving"
 
-    def test_array_backend_chosen_when_linked_does_not_fit(self):
-        # The array-backed Space Saving is the compacter twin of the linked
-        # structure: budgets between the two estimates select it.
-        epsilon = 0.01
-        array = estimate_counter_memory("array_space_saving", epsilon=epsilon)
-        space_saving = estimate_counter_memory("space_saving", epsilon=epsilon)
-        assert array < space_saving
-        budget = (array + space_saving) // 2
-        assert choose_counter_backend(budget, epsilon=epsilon) == "array_space_saving"
-
-    def test_sketch_chosen_when_no_space_saving_variant_fits(self):
+    def test_sketch_chosen_when_space_saving_does_not_fit(self):
         # With a tightly bounded tracked set the count-min table undercuts
-        # even the array-backed Space Saving entries; pick a budget between
-        # the two.
+        # the Space Saving entries; pick a budget between the two.
         epsilon = 0.01
         sketch = estimate_counter_memory("count_min", epsilon=epsilon, track=10)
-        array = estimate_counter_memory("array_space_saving", epsilon=epsilon)
-        assert sketch < array
-        budget = (sketch + array) // 2
+        space_saving = estimate_counter_memory("space_saving", epsilon=epsilon)
+        assert sketch < space_saving
+        budget = (sketch + space_saving) // 2
         assert choose_counter_backend(budget, epsilon=epsilon, track=10) == "count_min"
 
     def test_impossible_budget_names_the_cheapest_backend(self):
@@ -78,19 +67,11 @@ class TestChooser:
         )
         assert type(counter).__name__ == "SpaceSaving"
 
-    def test_auto_spec_builds_array_space_saving_on_a_mid_budget(self):
-        epsilon = 0.01
-        array = estimate_counter_memory("array_space_saving", epsilon=epsilon)
-        space_saving = estimate_counter_memory("space_saving", epsilon=epsilon)
-        budget = (array + space_saving) // 2
-        counter = build_counter(CounterSpec(auto=True, memory_bytes=budget), epsilon=epsilon)
-        assert type(counter).__name__ == "ArraySpaceSaving"
-
     def test_auto_spec_builds_sketch_on_a_tight_budget(self):
         epsilon = 0.01
         sketch = estimate_counter_memory("count_min", epsilon=epsilon, track=10)
-        array = estimate_counter_memory("array_space_saving", epsilon=epsilon)
-        budget = (sketch + array) // 2
+        space_saving = estimate_counter_memory("space_saving", epsilon=epsilon)
+        budget = (sketch + space_saving) // 2
         counter = build_counter(
             CounterSpec(auto=True, memory_bytes=budget, track=10), epsilon=epsilon
         )
@@ -100,23 +81,39 @@ class TestChooser:
         resolved = CounterSpec(auto=True, memory_bytes=10_000_000).resolve(0.01)
         assert resolved.name == "space_saving" and resolved.auto is False
 
+    def test_auto_spec_prices_a_pinned_capacity(self):
+        # 5000 pinned counters cost far more than the 100 that epsilon=0.01
+        # derives; no backend fits, so nothing is built.
+        assert estimate_counter_memory("space_saving", epsilon=0.01, capacity=5000) > 30_000
+        spec = CounterSpec(auto=True, memory_bytes=30_000, epsilon=0.01, capacity=5000)
+        with pytest.raises(ConfigurationError, match="raise the budget"):
+            build_counter(spec)
+
+    def test_auto_spec_prices_a_pinned_sketch_geometry(self):
+        # The churn hint prefers a sketch, but the pinned 5 x 100000 table
+        # is priced as pinned and does not fit 60 kB.
+        assert estimate_counter_memory("count_min", epsilon=0.01, width=100_000, depth=5) > 60_000
+        spec = CounterSpec(
+            auto=True, memory_bytes=60_000, epsilon=0.01, working_set=10**6, width=100_000, depth=5
+        )
+        assert spec.resolve().name == "space_saving"
+        # Space Saving has no table width, so the pinned sketch geometry is
+        # a configuration error rather than a 4 MB Count-Min.
+        with pytest.raises(ConfigurationError, match="rejected its parameters"):
+            build_counter(spec)
+
 
 class TestChooserBoundaries:
     """Exact budget boundaries: the chooser treats "fits" as ``<=``."""
 
     def test_budget_exactly_at_estimate_fits(self):
-        for name in ("space_saving", "array_space_saving"):
-            budget = estimate_counter_memory(name, epsilon=0.01)
-            assert choose_counter_backend(budget, epsilon=0.01) == name
-        # One byte below the preferred backend's estimate, the next-cheaper
-        # variant takes over.
-        space_saving = estimate_counter_memory("space_saving", epsilon=0.01)
-        assert choose_counter_backend(space_saving - 1, epsilon=0.01) == "array_space_saving"
+        budget = estimate_counter_memory("space_saving", epsilon=0.01)
+        assert choose_counter_backend(budget, epsilon=0.01) == "space_saving"
 
     def test_budget_below_every_estimate_is_an_error(self):
         cheapest = min(
             estimate_counter_memory(name, epsilon=0.01)
-            for name in ("space_saving", "array_space_saving", "count_min", "count_sketch")
+            for name in ("space_saving", "count_min", "count_sketch")
         )
         assert choose_counter_backend(cheapest, epsilon=0.01)  # boundary fits
         with pytest.raises(ConfigurationError, match="raise the budget"):
@@ -147,21 +144,20 @@ class TestShardBudgetDivision:
         from repro.core.shard import ShardedHHH
 
         space_saving = estimate_counter_memory("space_saving", epsilon=0.01)
-        array = estimate_counter_memory("array_space_saving", epsilon=0.01)
-        budget = space_saving + array  # fits the linked backend outright...
-        assert array <= budget // 2 < space_saving  # ...but halved, only the array one
+        sketch = estimate_counter_memory("count_min", epsilon=0.01, track=10)
+        budget = space_saving + sketch  # fits Space Saving outright...
+        assert sketch <= budget // 2 < space_saving  # ...but halved, only the sketch
         spec = AlgorithmSpec(
             name="rhhh",
             epsilon=0.05,
             seed=1,
-            counter=CounterSpec(auto=True, memory_bytes=budget, epsilon=0.01),
+            counter=CounterSpec(auto=True, memory_bytes=budget, epsilon=0.01, track=10),
         )
-        unsharded = build_counter(spec.counter, epsilon=0.01)
-        assert type(unsharded).__name__ == "SpaceSaving"
+        assert spec.counter.resolve().name == "space_saving"
         engine = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
         for shard in range(2):
             node_counter = engine.shard_algorithm(shard).node_counter(0)
-            assert type(node_counter).__name__ == "ArraySpaceSaving"
+            assert type(node_counter).__name__ == "CountMinSketch"
 
 
 class TestSketchGeometryEstimates:
@@ -179,6 +175,13 @@ class TestSketchGeometryEstimates:
         sketch = CountSketch(epsilon=0.05, delta=0.14)
         assert sketch.depth == 3
         estimate = estimate_counter_memory("count_sketch", epsilon=0.05, delta=0.14, track=0)
+        assert estimate == sketch.depth * sketch.width * 8
+
+    @pytest.mark.parametrize("name, cls", [("count_min", CountMinSketch), ("count_sketch", CountSketch)])
+    def test_pinned_geometry_prices_the_constructed_table(self, name, cls):
+        # An explicit even depth is bumped by CountSketch too.
+        sketch = cls(epsilon=0.05, width=300, depth=4)
+        estimate = estimate_counter_memory(name, epsilon=0.05, width=300, depth=4, track=0)
         assert estimate == sketch.depth * sketch.width * 8
 
     def test_count_sketch_odd_depth_delta_is_not_bumped(self):
@@ -201,11 +204,13 @@ class TestChurnAwareChoice:
         assert calm == "space_saving"
         assert stormy == "count_min"
 
-    def test_working_set_within_capacity_keeps_space_saving(self):
-        # ceil(1/epsilon) == 100 counters hold the whole working set: no
-        # eviction storm, the paper's deterministic counter stays preferred.
+    @pytest.mark.parametrize("working_set, capacity", [(100, None), (1000, 5000)])
+    def test_working_set_within_capacity_keeps_space_saving(self, working_set, capacity):
+        # The capacity - ceil(1/epsilon) == 100 counters, or the 5000 the
+        # caller pinned - holds the whole working set: no eviction storm,
+        # the paper's deterministic counter stays preferred.
         choice = choose_counter_backend(
-            self.BIG_BUDGET, epsilon=0.01, track=50, working_set=100
+            self.BIG_BUDGET, epsilon=0.01, track=50, working_set=working_set, capacity=capacity
         )
         assert choice == "space_saving"
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import build_algorithm
+from repro.api.specs import AlgorithmSpec
 from repro.core.batch import (
     aggregate_masked,
     aggregated_arrays,
@@ -14,9 +16,9 @@ from repro.core.batch import (
     group_by_node,
     sorted_pairs,
 )
+from repro.core.shard import ShardedHHH
 from repro.exceptions import ConfigurationError
-from repro.hh.array_space_saving import ArraySpaceSaving
-from repro.hh.space_saving import SpaceSaving
+from repro.hh.count_min import CountMinSketch
 
 
 class TestAggregateMasked:
@@ -87,9 +89,44 @@ class TestCoercion:
         with pytest.raises(ConfigurationError, match="weights length"):
             coerce_weights([1, 2], 3)
 
-    def test_coerce_weights_totals(self):
-        weights, total = coerce_weights([2, 3, 4], 3)
-        assert total == 9 and weights.dtype == np.int64
+    @pytest.mark.parametrize("weights", [[2, 3, 4], [2.0, 3.0, 4.0]])
+    def test_coerce_weights_totals(self, weights):
+        coerced, total = coerce_weights(weights, 3)
+        assert total == 9 and coerced.dtype == np.int64
+
+    @pytest.mark.parametrize("weights", [[3, -1, 1], [2, 0, 1], np.asarray([4, 0])])
+    def test_coerce_weights_rejects_non_positive(self, weights):
+        with pytest.raises(ValueError, match="weight must be positive"):
+            coerce_weights(weights, len(weights))
+
+    @pytest.mark.parametrize("weights", [[1.5, 2.7, 1], [1, float("nan")], [float("inf"), 1]])
+    def test_coerce_weights_rejects_fractional_and_non_finite(self, weights):
+        with pytest.raises(ValueError, match="positive integer"):
+            coerce_weights(weights, len(weights))
+
+
+class TestEngineWeightValidation:
+    """Every engine's ``update_batch`` rejects bad weights before any update."""
+
+    BAD_WEIGHTS = [[1.5, 2.7, 1], [3, -1, 1], [2, 0, 1]]
+
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS)
+    @pytest.mark.parametrize("name", ["rhhh", "mst", "sampled_mst"])
+    def test_lattice_engine_state_untouched(self, name, weights, byte_hierarchy):
+        engine = build_algorithm(name, byte_hierarchy, epsilon=0.1, delta=0.1, seed=1)
+        with pytest.raises(ValueError, match="weight must be"):
+            engine.update_batch([10, 20, 30], weights)
+        assert engine.total == 0
+        assert all(node_counter.total == 0 for node_counter in engine._counters)
+
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS)
+    def test_serial_sharded_engine_state_untouched(self, weights):
+        spec = AlgorithmSpec(name="rhhh", epsilon=0.1, seed=1)
+        engine = ShardedHHH(spec, "1d-bytes", 2, parallel=False)
+        with pytest.raises(ValueError, match="weight must be"):
+            engine.update_batch([10, 20, 30], weights)
+        assert engine.total == 0
+        assert all(engine.shard_algorithm(shard).total == 0 for shard in range(2))
 
 
 class TestGroupByNode:
@@ -102,13 +139,14 @@ class TestGroupByNode:
 
 class TestFeedCounter:
     def test_uses_update_aggregated_when_available(self):
-        masked = np.asarray([3, 3, 1, 9])
-        fast = ArraySpaceSaving(capacity=4)
-        generic = SpaceSaving(capacity=4)
-        feed_counter(fast, masked, None)
-        feed_counter(generic, masked, None)
-        assert {k: fast.estimate(k) for k in fast} == {k: generic.estimate(k) for k in generic}
-        assert fast.total == generic.total == 4
+        # A batch that is not a numeric array reaches update_aggregated as a
+        # key list plus totals, the same batch the pair protocol would see.
+        fast = CountMinSketch(epsilon=0.1, seed=3)
+        reference = CountMinSketch(epsilon=0.1, seed=3)
+        feed_counter(fast, [3, 3, 1, 9], None)
+        reference.update_batch_reference([(1, 1), (3, 2), (9, 1)])
+        assert np.array_equal(fast._table, reference._table)
+        assert fast.total == reference.total == 4
 
     def test_pair_protocol_receives_python_ints(self):
         seen = []

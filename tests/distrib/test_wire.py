@@ -49,25 +49,6 @@ class TestCounterCodec:
         with pytest.raises(WireFormatError, match="unknown counter codec"):
             wire.decode_counter_state({"codec": "mystery"})
 
-    def test_array_backend_encodes_to_the_same_codec(self):
-        hierarchy = make_hierarchy("1d-bytes")
-        algorithm = build_algorithm(
-            AlgorithmSpec(
-                name="rhhh",
-                epsilon=0.1,
-                delta=0.1,
-                seed=1,
-                counter=CounterSpec(name="array_space_saving"),
-            ),
-            hierarchy,
-        )
-        for key in range(50):
-            algorithm.update(key % 7)
-        state = wire.encode_counter_state(algorithm._counters[0])
-        assert state["codec"] == "space_saving"
-        decoded = wire.decode_counter_state(state)
-        assert decoded._entries() == algorithm._counters[0]._entries()
-
 
 class TestMessageFraming:
     def _message(self, **overrides):

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.hh.array_space_saving import ArraySpaceSaving
 from repro.hhh.mst import MST
 from repro.hhh.sampled_mst import SampledMST
 from repro.traffic.caida_like import named_workload
@@ -75,18 +74,6 @@ class TestMSTBatchEquivalence:
         reference = MST(two_dim_hierarchy, epsilon=0.02)
         _feed(vectorized, np.asarray(keys, dtype=np.int64), 1_000, weights=weights)
         _feed(reference, keys, 1_000, reference=True, weights=list(weights))
-        _assert_bit_identical(vectorized, reference, two_dim_hierarchy)
-
-    def test_array_backend(self, two_dim_hierarchy, small_backbone_keys_2d):
-        keys = small_backbone_keys_2d[:8_000]
-        make = lambda: MST(
-            two_dim_hierarchy,
-            epsilon=0.02,
-            counter=lambda epsilon: ArraySpaceSaving(epsilon=epsilon),
-        )
-        vectorized, reference = make(), make()
-        _feed(vectorized, np.asarray(keys, dtype=np.int64), 2_048)
-        _feed(reference, keys, 2_048, reference=True)
         _assert_bit_identical(vectorized, reference, two_dim_hierarchy)
 
     def test_object_key_fallback_matches_reference(self, byte_hierarchy):

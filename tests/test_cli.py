@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from repro.cli import FIGURES, HIERARCHIES, main
+from repro.api.registry import hierarchy_names
+from repro.cli import FIGURES, main
 from repro.traffic.trace_io import (
     TraceReader,
     read_trace_csv,
@@ -506,4 +507,4 @@ class TestParser:
             main([])
 
     def test_hierarchy_registry(self):
-        assert set(HIERARCHIES) == {"1d-bytes", "1d-bits", "2d-bytes"}
+        assert set(hierarchy_names()) == {"1d-bytes", "1d-bits", "2d-bytes"}
