@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Type, TypeVar
 
-from repro.api.memory import choose_counter_backend
+from repro.api.memory import AUTO_CANDIDATES, choose_counter_backend
 from repro.exceptions import ConfigurationError, ConfigurationWarning
 
 S = TypeVar("S", bound="_SpecBase")
@@ -120,7 +120,11 @@ class CounterSpec(_SpecBase):
             disable clamping entirely.  A :class:`ConfigurationWarning` is
             emitted whenever the clamp actually fires.
         auto: pick the backend automatically from ``memory_bytes`` (the
-            ROADMAP's multi-backend-by-deployment-size selection).
+            ROADMAP's multi-backend-by-deployment-size selection).  A pinned
+            ``capacity`` restricts the choice to Space Saving, a pinned
+            ``width``/``depth`` to the sketches (pinning both is an error);
+            ``delta``, ``seed`` and ``track`` tune only the sketches and are
+            dropped when Space Saving is picked.
         memory_bytes: memory budget driving the automatic choice.
         working_set: estimated number of distinct keys the stream touches per
             node (churn hint for the automatic choice): when it exceeds the
@@ -156,6 +160,11 @@ class CounterSpec(_SpecBase):
             raise ConfigurationError(f"min_epsilon must be in [0, 1), got {self.min_epsilon}")
         if self.auto and self.memory_bytes is None:
             raise ConfigurationError("CounterSpec(auto=True) requires memory_bytes")
+        if self.auto and self.capacity is not None and (self.width, self.depth) != (None, None):
+            raise ConfigurationError(
+                "CounterSpec(auto=True) pins both capacity (Space Saving geometry) and "
+                "width/depth (sketch geometry); no counter backend takes both"
+            )
 
     def resolve(self, default_epsilon: Optional[float] = None) -> "CounterSpec":
         """Return a concrete spec: epsilon inherited, clamped, backend chosen.
@@ -176,7 +185,13 @@ class CounterSpec(_SpecBase):
                 "pass epsilon on the spec or build it through an algorithm"
             )
         name = self.name
+        sketch_only: Dict[str, Any] = {}
         if self.auto:
+            candidates: Tuple[str, ...] = AUTO_CANDIDATES
+            if self.capacity is not None:
+                candidates = ("space_saving",)
+            elif (self.width, self.depth) != (None, None):
+                candidates = tuple(c for c in AUTO_CANDIDATES if c != "space_saving")
             name = choose_counter_backend(
                 self.memory_bytes,  # type: ignore[arg-type]  # validated in __post_init__
                 epsilon=epsilon if epsilon is not None else 0.01,
@@ -186,7 +201,11 @@ class CounterSpec(_SpecBase):
                 capacity=self.capacity,
                 width=self.width,
                 depth=self.depth,
+                candidates=candidates,
             )
+            if name == "space_saving":
+                # delta, seed and track tune only the sketches.
+                sketch_only = {"delta": None, "seed": None, "track": None}
         if epsilon is not None:
             floor = self.min_epsilon if self.min_epsilon is not None else DEFAULT_MIN_EPSILON.get(name, 0.0)
             if epsilon < floor:
@@ -197,7 +216,7 @@ class CounterSpec(_SpecBase):
                     stacklevel=2,
                 )
                 epsilon = floor
-        return dataclasses.replace(self, name=name, epsilon=epsilon, auto=False)
+        return dataclasses.replace(self, name=name, epsilon=epsilon, auto=False, **sketch_only)
 
     def build(self, default_epsilon: Optional[float] = None) -> Any:
         """Instantiate the backend (delegates to :func:`repro.api.registry.build_counter`)."""

@@ -50,6 +50,10 @@ suites in ``tests/core/test_shard.py`` and
 ``tests/eval/test_accuracy_regression.py`` pin the error-bound and
 (epsilon, delta)-coverage guarantees instead.
 
+The distributed tier (:mod:`repro.distrib`) shares this module's partition
+-> merge -> query path: :func:`partition_batch`, :func:`merge_template`,
+:func:`reduce_counter_states` and :func:`query_merged`.
+
 Per-shard RNG streams are derived with ``numpy.random.SeedSequence.spawn``:
 for a fixed ``(seed, shards)`` pair every run draws the same per-shard
 seeds, while different shards get cryptographically independent streams (no
@@ -170,6 +174,126 @@ def shard_assignments(keys: Sequence, shards: int) -> Optional[np.ndarray]:
 
 
 # --------------------------------------------------------------------------- #
+# the shared partition -> merge -> query path
+# --------------------------------------------------------------------------- #
+
+
+def partition_batch(
+    keys: Sequence, weights_arr: Optional[np.ndarray], n: int, parts: int
+) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
+    """Split a batch into per-part ``(keys, weights)`` sub-batches.
+
+    Part ``i`` receives the keys :func:`shard_of_key` routes to ``i``, in
+    stream order.  Non-numeric batches iterate
+    :meth:`~repro.core.base.HHHAlgorithm._iter_batch_keys`, so a 2-D object
+    array routes as the key tuples its rows stand for.
+    """
+    if parts == 1:
+        return [(keys if isinstance(keys, np.ndarray) else list(keys), weights_arr)]
+    assignments = shard_assignments(keys, parts)
+    key_list = None
+    if assignments is None:
+        key_list = list(HHHAlgorithm._iter_batch_keys(keys))
+        assignments = np.array([shard_of_key(key, parts) for key in key_list], dtype=np.int64)
+    else:
+        keys_arr = coerce_key_array(keys, n)
+    split: List[Tuple[Sequence, Optional[np.ndarray]]] = []
+    for part in range(parts):
+        picked = np.flatnonzero(assignments == part)
+        sub_keys = keys_arr[picked] if key_list is None else [key_list[i] for i in picked.tolist()]
+        split.append((sub_keys, weights_arr[picked] if weights_arr is not None else None))
+    return split
+
+
+def merge_template(
+    spec: AlgorithmSpec, hierarchy: Hierarchy, parts: int
+) -> Tuple[HHHAlgorithm, List[bool]]:
+    """Build the merged-output delegate and the per-node disjointness flags.
+
+    The template is sized like one part, so capacities line up with the part
+    summaries.  Hash partitioning is key-disjoint only at the fully-specified
+    (level-0) node, where the counter keys *are* the routed keys; generalized
+    nodes aggregate keys from many parts and take the summed-bound merge.
+    Raises :class:`ConfigurationError` for a spec without a mergeable
+    per-node counter lattice.
+    """
+    from repro.api.registry import build_algorithm
+
+    template = build_algorithm(per_shard_algorithm_spec(spec, spec.seed, parts), hierarchy)
+    if not hasattr(template, "_counters"):
+        raise ConfigurationError(
+            f"algorithm {spec.name!r} keeps no per-node counter lattice; only the "
+            "lattice algorithms (rhhh, mst, sampled_mst) can be partitioned and merged"
+        )
+    probe = template._counters[0]
+    if type(probe).merge is FrequencyEstimator.merge:
+        raise ConfigurationError(
+            f"counter backend {type(probe).__name__} does not implement merge(); "
+            "pick a mergeable backend (space_saving, misra_gries, count_min, count_sketch)"
+        )
+    node_disjoint = [hierarchy.node_level(node) == 0 for node in range(hierarchy.size)]
+    return template, node_disjoint
+
+
+def reduce_counter_states(
+    states: Sequence[Tuple[int, Sequence]], node_disjoint: Sequence[bool]
+) -> Tuple[List, int]:
+    """Merge per-part ``(total, counters)`` states, in order, into one lattice.
+
+    The first part's counters are the merge targets and are mutated; the
+    rest are read-only merge arguments (``merge`` never mutates its
+    argument).  Returns ``(counters, total)`` with the summed part totals.
+    """
+    first_total, first_counters = states[0]
+    merged = list(first_counters)
+    total = first_total
+    for part_total, counters in states[1:]:
+        total += part_total
+        for node, counter in enumerate(counters):
+            merged[node].merge(counter, disjoint=node_disjoint[node])
+    return merged, total
+
+
+def query_merged(
+    template: HHHAlgorithm,
+    merged: List,
+    total: int,
+    theta: float,
+    *,
+    losses: Sequence[ShardLoss],
+    lost: int,
+    versions: List[int],
+    cache: Optional[OutputCache],
+) -> HHHOutput:
+    """Run the template's Output on a merged lattice, widened by lost weight.
+
+    The merged state and the caller's ``versions``/``cache`` pair replace the
+    template's own for one ``output`` call and are swapped back even if it
+    raises.  ``cache=None`` is the from-scratch reference pass.  ``lost`` is
+    weight the merge does not account for: ``N`` counts it, every
+    conditioned estimate gains it (no prefix that could reach the threshold
+    is dropped) and every upper bound is stretched by it; ``losses`` rides
+    along on ``failed_shards``.
+    """
+    saved = (template._counters, template._total, template._versions, template._output_cache)
+    template._counters, template._total = merged, total + lost
+    template._versions, template._output_cache = versions, cache
+    template.extra_correction = float(lost)
+    try:
+        result = template.output(theta)
+    finally:
+        template.extra_correction = 0.0
+        template._counters, template._total, template._versions, template._output_cache = saved
+    if lost:
+        result.candidates = [
+            dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
+            for candidate in result.candidates
+        ]
+    result.failed_shards = list(losses)
+    return result
+
+
+# --------------------------------------------------------------------------- #
 # the sharded engine
 # --------------------------------------------------------------------------- #
 
@@ -189,9 +313,6 @@ class ShardedHHH(HHHAlgorithm):
         parallel: ``True`` gives each shard a worker process; ``False`` runs
             the replicas in-process (same results, no processes - the
             lockstep reference and the sensible choice for tiny runs).
-        start_method: multiprocessing start method for the worker pool
-            (default ``"spawn"``, the method that works on every platform
-            and never inherits live state).
         supervisor: failure handling for the worker pool - a
             :class:`~repro.core.supervise.SupervisorPolicy`, a bare policy
             name (``"fail"``/``"restart"``/``"degrade"``), or ``None`` for
@@ -210,7 +331,6 @@ class ShardedHHH(HHHAlgorithm):
         shards: int = 2,
         *,
         parallel: bool = True,
-        start_method: str = "spawn",
         supervisor: Union[SupervisorPolicy, str, None] = None,
         fault_plan=None,
     ) -> None:
@@ -241,37 +361,14 @@ class ShardedHHH(HHHAlgorithm):
         self._spec = spec
         self._shards = shards
         self._parallel = bool(parallel)
-        self._start_method = start_method
         self._policy = supervisor
         self._seeds = spawn_shard_seeds(spec.seed, shards)
         self._shard_specs = [
             per_shard_algorithm_spec(spec, seed, shards) for seed in self._seeds
         ]
-        # The merged-output delegate: a replica-shaped instance (per-shard
-        # counter sizing, so capacities line up with the shard summaries)
-        # whose counters/total are replaced by the merged state at output
-        # time.  Building it up front also fail-fasts on unshardable specs.
-        self._template = build_algorithm(
-            per_shard_algorithm_spec(spec, spec.seed, shards), hierarchy_obj
-        )
-        if not hasattr(self._template, "_counters"):
-            raise ConfigurationError(
-                f"algorithm {spec.name!r} keeps no per-node counter lattice; "
-                "sharded execution supports the lattice algorithms (rhhh, mst, sampled_mst)"
-            )
-        probe = self._template._counters[0]
-        if type(probe).merge is FrequencyEstimator.merge:
-            raise ConfigurationError(
-                f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, misra_gries, count_min, count_sketch)"
-            )
-        # Hash partitioning is key-disjoint only where the counter keys ARE
-        # the routed keys: the fully-specified (level-0) lattice node.
-        # Generalized nodes aggregate keys from many shards and must take
-        # the generic summed-bound merge.
-        self._node_disjoint = [
-            hierarchy_obj.node_level(node) == 0 for node in range(hierarchy_obj.size)
-        ]
+        # The merged-output delegate; building it up front also fail-fasts
+        # on unshardable specs.
+        self._template, self._node_disjoint = merge_template(spec, hierarchy_obj, shards)
         self._replicas: List[HHHAlgorithm] = []
         self._supervisor: Optional[ShardSupervisor] = None
         self._batch_index = 0
@@ -294,7 +391,6 @@ class ShardedHHH(HHHAlgorithm):
                 self._shard_specs,
                 hierarchy if isinstance(hierarchy, str) else hierarchy_obj,
                 supervisor,
-                start_method=start_method,
                 fault_plan=fault_plan,
             )
             self._supervisor.start()
@@ -378,7 +474,7 @@ class ShardedHHH(HHHAlgorithm):
         if n == 0:
             return
         weights_arr, total_weight = coerce_weights(weights, n)
-        parts = self._partition(keys, weights_arr, n)
+        parts = partition_batch(keys, weights_arr, n, self._shards)
         if self._parallel:
             batch = self._batch_index
             self._supervisor.begin_batch(batch)
@@ -401,44 +497,6 @@ class ShardedHHH(HHHAlgorithm):
                     self._replicas[shard].update_batch(sub_keys, sub_weights)
             self._batch_index += 1
         self._total += total_weight
-
-    def _partition(
-        self, keys: Sequence, weights_arr: Optional[np.ndarray], n: int
-    ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
-        """Split a batch into per-shard ``(keys, weights)`` sub-batches."""
-        if self._shards == 1:
-            return [(keys if isinstance(keys, np.ndarray) else list(keys), weights_arr)]
-        assignments = shard_assignments(keys, self._shards)
-        if assignments is None:
-            key_list = list(self._iter_batch_keys(keys))
-            buckets: List[List] = [[] for _ in range(self._shards)]
-            weight_buckets: List[List[int]] = [[] for _ in range(self._shards)]
-            weight_list = weights_arr.tolist() if weights_arr is not None else None
-            for i, key in enumerate(key_list):
-                shard = shard_of_key(key, self._shards)
-                buckets[shard].append(key)
-                if weight_list is not None:
-                    weight_buckets[shard].append(weight_list[i])
-            return [
-                (
-                    bucket,
-                    np.asarray(weight_buckets[shard], dtype=np.int64)
-                    if weights_arr is not None
-                    else None,
-                )
-                for shard, bucket in enumerate(buckets)
-            ]
-        keys_arr = coerce_key_array(keys, n)
-        parts: List[Tuple[Sequence, Optional[np.ndarray]]] = []
-        for shard in range(self._shards):
-            picked = np.flatnonzero(assignments == shard)
-            parts.append(
-                (
-                    keys_arr[picked],
-                    weights_arr[picked] if weights_arr is not None else None,
-                )
-            )
-        return parts
 
     # ------------------------------------------------------------------ #
     # checkpoint/restore of the whole engine
@@ -541,18 +599,7 @@ class ShardedHHH(HHHAlgorithm):
                 "no shard state survives the failures: every shard was lost "
                 "before its first supervision checkpoint"
             )
-        merged = list(states[0][1])
-        total = states[0][0]
-        for shard_total, counters in states[1:]:
-            total += shard_total
-            for node, counter in enumerate(counters):
-                merged[node].merge(counter, disjoint=self._node_disjoint[node])
-        return merged, total
-
-    def _bump_template_versions(self) -> None:
-        versions = self._template_versions
-        for node in range(len(versions)):
-            versions[node] += 1
+        return reduce_counter_states(states, self._node_disjoint)
 
     def _merged_counters_cached(self) -> Tuple[List, int]:
         """Incremental twin of :meth:`merged_counters`.
@@ -575,15 +622,11 @@ class ShardedHHH(HHHAlgorithm):
                 return cached[1], cached[2]
             merged, total = self.merged_counters()
             self._parallel_merge_cache = (key, merged, total)
-            self._bump_template_versions()
+            versions = self._template_versions
+            for node in range(len(versions)):
+                versions[node] += 1
             return merged, total
         replicas = self._replicas
-        if any(not hasattr(replica, "_versions") for replica in replicas):
-            # A replica without version stamps cannot signal staleness;
-            # fall back to a full merge with every node marked dirty.
-            merged, total = self.merged_counters()
-            self._bump_template_versions()
-            return merged, total
         merged = []
         for node in range(len(self._merged_node_cache)):
             sig = tuple(replica._versions[node] for replica in replicas)
@@ -607,62 +650,33 @@ class ShardedHHH(HHHAlgorithm):
         The delegate instance supplies the algorithm-specific scaling and
         sampling correction (``V`` and the ``2 Z sqrt(NV)`` term for RHHH,
         the plain lattice output for MST), computed against the *combined*
-        stream length.  Under the degrade policy the lost packets (weight
-        dispatched to dead shards that no surviving or checkpointed state
-        accounts for) widen the bounds conservatively: ``N`` still counts
-        them, every conditioned estimate gains the full lost weight (so no
-        prefix that could have reached the threshold is dropped) and every
-        candidate's upper bound is stretched by it; the per-shard
-        :class:`~repro.core.supervise.ShardLoss` reports ride along on
-        ``failed_shards``.
+        stream length.  Under the degrade policy the supervisor's lost
+        packets widen the bounds as :func:`query_merged` describes, and the
+        per-shard :class:`~repro.core.supervise.ShardLoss` reports ride along
+        on ``failed_shards``.
 
         Queries run incrementally by default: the merged lattice carries the
         wrapper-owned version stamps and output cache, so a repeat query
         re-enumerates only the nodes whose merge was rebuilt.  Setting
         ``_template_cache = None`` forces the from-scratch reference path
         (full re-merge, uncached output pass) - the parity suite compares
-        the two.  Either way the hijacked template attributes (counters,
-        total, correction, version/cache pair) are all restored afterwards,
-        so interleaved direct use of the template never sees merged state.
+        the two.
         """
-        incremental = self._template_cache is not None
-        if incremental:
+        if self._template_cache is not None:
             merged, merged_total = self._merged_counters_cached()
         else:
             merged, merged_total = self.merged_counters()
-        lost = self._supervisor.lost_packets() if self._supervisor is not None else 0
-        losses = self._supervisor.losses() if self._supervisor is not None else []
-        template = self._template
-        saved_counters = template._counters
-        saved_total = template._total
-        saved_versions = getattr(template, "_versions", None)
-        saved_cache = getattr(template, "_output_cache", None)
-        has_cache_attrs = saved_versions is not None
-        template._counters = merged
-        template._total = merged_total + lost
-        template.extra_correction = float(lost)
-        if has_cache_attrs:
-            if incremental:
-                template._versions = self._template_versions
-                template._output_cache = self._template_cache
-            else:
-                template._output_cache = None
-        try:
-            result = template.output(theta)
-        finally:
-            template.extra_correction = 0.0
-            template._counters = saved_counters
-            template._total = saved_total
-            if has_cache_attrs:
-                template._versions = saved_versions
-                template._output_cache = saved_cache
-        if lost:
-            result.candidates = [
-                dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
-                for candidate in result.candidates
-            ]
-        result.failed_shards = list(losses)
-        return result
+        supervisor = self._supervisor
+        return query_merged(
+            self._template,
+            merged,
+            merged_total,
+            theta,
+            losses=supervisor.losses() if supervisor is not None else [],
+            lost=supervisor.lost_packets() if supervisor is not None else 0,
+            versions=self._template_versions,
+            cache=self._template_cache,
+        )
 
     def counters(self) -> int:
         if self._parallel:

@@ -204,7 +204,6 @@ class ShardSupervisor:
         hierarchy_payload: registry name or picklable hierarchy instance,
             handed to every worker.
         policy: the :class:`SupervisorPolicy` in force.
-        start_method: multiprocessing start method (default ``"spawn"``).
         fault_plan: optional :class:`~repro.core.faults.FaultPlan` whose
             ``kill``/``delay`` events fire at :meth:`begin_batch`.
     """
@@ -215,13 +214,13 @@ class ShardSupervisor:
         hierarchy_payload,
         policy: Optional[SupervisorPolicy] = None,
         *,
-        start_method: str = "spawn",
         fault_plan=None,
     ) -> None:
         self._specs = list(shard_specs)
         self._hierarchy_payload = hierarchy_payload
         self._policy = policy or SupervisorPolicy()
-        self._context = multiprocessing.get_context(start_method)
+        # Spawn works on every platform and never inherits live state.
+        self._context = multiprocessing.get_context("spawn")
         self._fault_plan = fault_plan
         count = len(self._specs)
         self._workers: List[Optional[Tuple[Any, Any]]] = [None] * count

@@ -3,8 +3,8 @@
 The receiving half of the distributed tier.  An :class:`Aggregator` holds,
 per switch, the most recent contribution it accepted (decoded wire state, as
 plain data); :meth:`Aggregator.output` materialises counter summaries from
-those states, reduces them with the same ``merge()`` protocol the sharded
-engine uses, and runs the algorithm's Output on the merged state.
+those states, then merges and queries them through the partition -> merge
+-> query path it shares with the sharded engine (:mod:`repro.core.shard`).
 
 Loss accounting maps directly onto the degrade-policy bracket: any weight
 the cluster dispatched to a switch that the aggregator's stored contribution
@@ -21,17 +21,15 @@ bounds above truth.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api.specs import AlgorithmSpec
 from repro.core.base import HHHOutput
 from repro.core.output import OutputCache
-from repro.core.shard import per_shard_algorithm_spec
+from repro.core.shard import merge_template, query_merged, reduce_counter_states
 from repro.core.supervise import ShardLoss
 from repro.distrib import compress, wire
 from repro.exceptions import AlgorithmError, ConfigurationError, WireFormatError
-from repro.hh.base import FrequencyEstimator
 from repro.hierarchy.base import Hierarchy
 
 
@@ -46,11 +44,6 @@ class Aggregator:
         switches: cluster size.
         top_k: the compression policy in force, part of the expected wire
             geometry (a differently-compressed peer is incompatible).
-        partitioned_keys: ``True`` when the cluster hash-partitions keys
-            across switches (each key lives on exactly one switch), enabling
-            the key-disjoint merge at fully-specified lattice nodes; pass
-            ``False`` for replicated/overlapping streams to force the
-            generic summed-bound merge everywhere.
     """
 
     def __init__(
@@ -60,33 +53,12 @@ class Aggregator:
         switches: int,
         *,
         top_k: Optional[int] = None,
-        partitioned_keys: bool = True,
     ) -> None:
-        from repro.api.registry import build_algorithm
-
         if not isinstance(switches, int) or isinstance(switches, bool) or switches < 1:
             raise ConfigurationError(f"switches must be a positive integer, got {switches!r}")
         self._switches = switches
-        self._hierarchy = hierarchy
-        self._template = build_algorithm(
-            per_shard_algorithm_spec(algorithm, algorithm.seed, switches), hierarchy
-        )
-        if not hasattr(self._template, "_counters"):
-            raise ConfigurationError(
-                f"algorithm {algorithm.name!r} keeps no per-node counter lattice; "
-                "the distributed tier supports the lattice algorithms (rhhh, mst, sampled_mst)"
-            )
-        probe = self._template._counters[0]
-        if type(probe).merge is FrequencyEstimator.merge:
-            raise ConfigurationError(
-                f"counter backend {type(probe).__name__} does not implement merge(); "
-                "pick a mergeable backend (space_saving, misra_gries, count_min, count_sketch)"
-            )
+        self._template, self._node_disjoint = merge_template(algorithm, hierarchy, switches)
         self._expected_geometry = wire.algorithm_geometry(self._template, hierarchy, top_k=top_k)
-        self._node_disjoint = [
-            partitioned_keys and hierarchy.node_level(node) == 0
-            for node in range(hierarchy.size)
-        ]
         #: per switch: the newest accepted contribution, as plain wire state.
         self._contributions: Dict[int, Dict[str, Any]] = {}
         self.messages_accepted = 0
@@ -182,6 +154,31 @@ class Aggregator:
     # the merge reduction and the global query
     # ------------------------------------------------------------------ #
 
+    def _contribution_states(self, decoded: Optional[Dict[int, List]]) -> List[Tuple[int, List]]:
+        """``(total, counters)`` per stored contribution, in switch-id order.
+
+        The first switch, the mutated merge target, is always decoded fresh;
+        the others are looked up in and stored to the ``decoded`` cache when
+        one is given (``None`` decodes every switch fresh).
+        """
+        order = sorted(self._contributions)
+        if not order:
+            raise AlgorithmError(
+                "the aggregator holds no switch contributions; nothing was "
+                "delivered (or every emission was lost)"
+            )
+        states: List[Tuple[int, List]] = []
+        for position, switch in enumerate(order):
+            contribution = self._contributions[switch]
+            cache = decoded if position else None
+            counters = None if cache is None else cache.get(switch)
+            if counters is None:
+                counters = [wire.decode_counter_state(state) for state in contribution["nodes"]]
+                if cache is not None:
+                    cache[switch] = counters
+            states.append((contribution["total"], counters))
+        return states
+
     def merged_counters(self) -> Tuple[List, int]:
         """Materialise and reduce the stored contributions.
 
@@ -190,23 +187,8 @@ class Aggregator:
         the same deterministic order as the sharded engine's serial merge.
         Returns ``(counters, accounted_total)``.
         """
-        order = sorted(self._contributions)
-        if not order:
-            raise AlgorithmError(
-                "the aggregator holds no switch contributions; nothing was "
-                "delivered (or every emission was lost)"
-            )
-        first = self._contributions[order[0]]
-        merged = [wire.decode_counter_state(state) for state in first["nodes"]]
-        total = first["total"]
-        for switch in order[1:]:
-            contribution = self._contributions[switch]
-            total += contribution["total"]
-            for node, state in enumerate(contribution["nodes"]):
-                merged[node].merge(
-                    wire.decode_counter_state(state), disjoint=self._node_disjoint[node]
-                )
-        return merged, total
+        states = self._contribution_states(None)
+        return reduce_counter_states(states, self._node_disjoint)
 
     def _merged_counters_cached(self) -> Tuple[List, int]:
         """Incremental twin of :meth:`merged_counters`.
@@ -214,11 +196,10 @@ class Aggregator:
         Short-circuits on the contribution signature: back-to-back queries
         with no accepted message in between reuse the previous merge (and
         hence the previous output pass's cached state) outright.  A re-merge
-        decodes the first switch fresh (it becomes the mutated merge target)
-        but reuses the cached decodes of the other switches as merge
-        arguments, then bumps the merge clock so every node reads as dirty.
-        Value-identical to :meth:`merged_counters`: same decode, same merge
-        order, same disjointness flags.
+        reuses the cached decodes of every switch but the first, then bumps
+        the merge clock so every node reads as dirty.  Value-identical to
+        :meth:`merged_counters`: same decode, same merge order, same
+        disjointness flags.
         """
         signature = tuple(
             sorted((switch, state["epoch"]) for switch, state in self._contributions.items())
@@ -226,24 +207,8 @@ class Aggregator:
         cached = self._merge_cache
         if cached is not None and cached[0] == signature:
             return cached[1], cached[2]
-        order = sorted(self._contributions)
-        if not order:
-            raise AlgorithmError(
-                "the aggregator holds no switch contributions; nothing was "
-                "delivered (or every emission was lost)"
-            )
-        first = self._contributions[order[0]]
-        merged = [wire.decode_counter_state(state) for state in first["nodes"]]
-        total = first["total"]
-        for switch in order[1:]:
-            contribution = self._contributions[switch]
-            total += contribution["total"]
-            decoded = self._decoded.get(switch)
-            if decoded is None:
-                decoded = [wire.decode_counter_state(state) for state in contribution["nodes"]]
-                self._decoded[switch] = decoded
-            for node, counter in enumerate(decoded):
-                merged[node].merge(counter, disjoint=self._node_disjoint[node])
+        states = self._contribution_states(self._decoded)
+        merged, total = reduce_counter_states(states, self._node_disjoint)
         self._merge_cache = (signature, merged, total)
         self._merge_clock += 1
         self._query_versions = [self._merge_clock] * len(self._query_versions)
@@ -264,12 +229,9 @@ class Aggregator:
         Queries run incrementally by default (``_query_cache = None`` forces
         the from-scratch reference path): an unchanged contribution set
         reuses the previous merge and the output pass's cached per-node
-        state.  Every hijacked template attribute - counters, total,
-        correction, version/cache pair - is restored afterwards, so the
-        template is never left holding merged state between queries.
+        state.
         """
-        incremental = self._query_cache is not None
-        if incremental:
+        if self._query_cache is not None:
             merged, accounted = self._merged_counters_cached()
         else:
             merged, accounted = self.merged_counters()
@@ -296,34 +258,13 @@ class Aggregator:
                             ),
                         )
                     )
-        template = self._template
-        saved_counters = template._counters
-        saved_total = template._total
-        saved_versions = getattr(template, "_versions", None)
-        saved_cache = getattr(template, "_output_cache", None)
-        has_cache_attrs = saved_versions is not None
-        template._counters = merged
-        template._total = accounted + lost
-        template.extra_correction = float(lost)
-        if has_cache_attrs:
-            if incremental:
-                template._versions = self._query_versions
-                template._output_cache = self._query_cache
-            else:
-                template._output_cache = None
-        try:
-            result = template.output(theta)
-        finally:
-            template.extra_correction = 0.0
-            template._counters = saved_counters
-            template._total = saved_total
-            if has_cache_attrs:
-                template._versions = saved_versions
-                template._output_cache = saved_cache
-        if lost:
-            result.candidates = [
-                dataclasses.replace(candidate, upper_bound=candidate.upper_bound + lost)
-                for candidate in result.candidates
-            ]
-        result.failed_shards = losses
-        return result
+        return query_merged(
+            self._template,
+            merged,
+            accounted,
+            theta,
+            losses=losses,
+            lost=lost,
+            versions=self._query_versions,
+            cache=self._query_cache,
+        )

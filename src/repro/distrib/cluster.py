@@ -4,9 +4,9 @@
 a :class:`~repro.api.session.Session` drives it exactly like any other
 engine.  Internally it simulates the whole deployment:
 
-* the stream is hash-partitioned across the switches with the sharded
-  engine's multiplicative key hash (a key lives on exactly one switch, so
-  fully-specified lattice nodes merge key-disjoint);
+* the stream is hash-partitioned across the switches by the sharded
+  engine's :func:`~repro.core.shard.partition_batch` (a key lives on
+  exactly one switch, so fully-specified lattice nodes merge key-disjoint);
 * every ``epoch_batches`` ingested batches, each live switch emits its
   compressed counter state through its transport; delivered messages are
   ingested by the aggregator and acknowledged back (the ack promotes the
@@ -23,15 +23,13 @@ spec's per-switch byte budget (the gate ``bench_distrib.py`` enforces).
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, Hashable, List, Optional, Sequence
 
 from repro.api.specs import ExperimentSpec
 from repro.core.base import HHHAlgorithm, HHHOutput
-from repro.core.batch import coerce_key_array, coerce_weights
+from repro.core.batch import coerce_weights
 from repro.core.faults import FaultPlan
-from repro.core.shard import shard_assignments, shard_of_key, spawn_shard_seeds
+from repro.core.shard import partition_batch, shard_of_key, spawn_shard_seeds
 from repro.distrib.aggregator import Aggregator
 from repro.distrib.switch import SwitchNode
 from repro.distrib.transport import LoopbackTransport, SimulatedTransport, Transport
@@ -93,11 +91,7 @@ class DistributedCluster(HHHAlgorithm):
             for switch in range(distrib.switches)
         ]
         self._aggregator = Aggregator(
-            spec.algorithm,
-            hierarchy_obj,
-            distrib.switches,
-            top_k=distrib.top_k,
-            partitioned_keys=True,
+            spec.algorithm, hierarchy_obj, distrib.switches, top_k=distrib.top_k
         )
         self._alive = [True] * distrib.switches
         self._dispatched = [0] * distrib.switches
@@ -152,9 +146,8 @@ class DistributedCluster(HHHAlgorithm):
             return
         self._fire_kills()
         weights_arr, total_weight = coerce_weights(weights, n)
-        for switch, (sub_keys, sub_weights) in enumerate(
-            self._partition(keys, weights_arr, n)
-        ):
+        parts = partition_batch(keys, weights_arr, n, self._switches)
+        for switch, (sub_keys, sub_weights) in enumerate(parts):
             if len(sub_keys) == 0:
                 continue
             sub_weight = int(sub_weights.sum()) if sub_weights is not None else len(sub_keys)
@@ -163,43 +156,6 @@ class DistributedCluster(HHHAlgorithm):
                 self._nodes[switch].observe(sub_keys, sub_weights)
         self._total += total_weight
         self._advance_epoch_clock()
-
-    def _partition(
-        self, keys: Sequence, weights_arr: Optional[np.ndarray], n: int
-    ) -> List[Tuple[Sequence, Optional[np.ndarray]]]:
-        """Split a batch into per-switch sub-batches (the sharded engine's rule)."""
-        if self._switches == 1:
-            return [(keys if isinstance(keys, np.ndarray) else list(keys), weights_arr)]
-        assignments = shard_assignments(keys, self._switches)
-        if assignments is None:
-            buckets: List[List] = [[] for _ in range(self._switches)]
-            weight_buckets: List[List[int]] = [[] for _ in range(self._switches)]
-            weight_list = weights_arr.tolist() if weights_arr is not None else None
-            for i, key in enumerate(keys):
-                switch = shard_of_key(key, self._switches)
-                buckets[switch].append(key)
-                if weight_list is not None:
-                    weight_buckets[switch].append(weight_list[i])
-            return [
-                (
-                    bucket,
-                    np.asarray(weight_buckets[switch], dtype=np.int64)
-                    if weights_arr is not None
-                    else None,
-                )
-                for switch, bucket in enumerate(buckets)
-            ]
-        keys_arr = coerce_key_array(keys, n)
-        parts: List[Tuple[Sequence, Optional[np.ndarray]]] = []
-        for switch in range(self._switches):
-            picked = np.flatnonzero(assignments == switch)
-            parts.append(
-                (
-                    keys_arr[picked],
-                    weights_arr[picked] if weights_arr is not None else None,
-                )
-            )
-        return parts
 
     # ------------------------------------------------------------------ #
     # the epoch protocol

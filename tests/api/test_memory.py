@@ -96,11 +96,70 @@ class TestChooser:
         spec = CounterSpec(
             auto=True, memory_bytes=60_000, epsilon=0.01, working_set=10**6, width=100_000, depth=5
         )
-        assert spec.resolve().name == "space_saving"
-        # Space Saving has no table width, so the pinned sketch geometry is
-        # a configuration error rather than a 4 MB Count-Min.
-        with pytest.raises(ConfigurationError, match="rejected its parameters"):
+        # Space Saving has no table width, so the pinned sketch geometry
+        # leaves no fitting candidate: a configuration error rather than a
+        # 4 MB Count-Min.
+        with pytest.raises(ConfigurationError, match="raise the budget"):
+            spec.resolve()
+        with pytest.raises(ConfigurationError, match="raise the budget"):
             build_counter(spec)
+
+
+class TestAutoSpecPinnedFields:
+    """Pinned geometry picks the family that takes it; sketch tuning is dropped."""
+
+    BASE = dict(auto=True, memory_bytes=200_000, epsilon=0.01)
+
+    @pytest.mark.parametrize(
+        "pinned",
+        [{"delta": 0.05}, {"seed": 3}, {"track": 10}, {"delta": 0.05, "seed": 3, "track": 10}],
+        ids=["delta", "seed", "track", "all"],
+    )
+    def test_sketch_tuning_is_not_forwarded_to_a_space_saving_pick(self, pinned):
+        resolved = CounterSpec(**self.BASE, **pinned).resolve()
+        assert resolved.name == "space_saving"
+        assert resolved.delta is None and resolved.seed is None and resolved.track is None
+        counter = build_counter(CounterSpec(**self.BASE, **pinned))
+        assert type(counter).__name__ == "SpaceSaving"
+        assert counter.capacity == 100
+
+    def test_sketch_tuning_still_reaches_a_sketch_pick(self):
+        spec = CounterSpec(**self.BASE, delta=0.05, seed=3, track=10, working_set=10**6)
+        resolved = spec.resolve()
+        assert resolved.name == "count_min"
+        assert (resolved.delta, resolved.seed, resolved.track) == (0.05, 3, 10)
+        counter = build_counter(spec)
+        assert type(counter).__name__ == "CountMinSketch"
+        assert counter.depth == CountMinSketch.derived_depth(0.05)
+
+    def test_pinned_table_geometry_allows_only_the_sketches(self):
+        spec = CounterSpec(**self.BASE, width=2000, depth=4)
+        assert spec.resolve().name == "count_min"
+        counter = build_counter(spec)
+        assert type(counter).__name__ == "CountMinSketch"
+        assert (counter.width, counter.depth) == (2000, 4)
+
+    def test_pinned_capacity_allows_only_space_saving(self):
+        # The churn hint alone would pick Count-Min, which takes no capacity.
+        assert CounterSpec(**self.BASE, working_set=10**6).resolve().name == "count_min"
+        spec = CounterSpec(**self.BASE, capacity=500, working_set=10**6)
+        assert spec.resolve().name == "space_saving"
+        counter = build_counter(spec)
+        assert type(counter).__name__ == "SpaceSaving"
+        assert counter.capacity == 500
+
+    @pytest.mark.parametrize(
+        "table", [{"width": 2000}, {"depth": 4}, {"width": 2000, "depth": 4}]
+    )
+    def test_pinning_both_kinds_fails_at_construction(self, table):
+        with pytest.raises(ConfigurationError, match="no counter backend takes both"):
+            CounterSpec(**self.BASE, capacity=500, **table)
+
+    def test_a_named_spec_keeps_every_field(self):
+        # Without auto there is no choice to restrict: the named backend
+        # receives what the caller pinned (and rejects what it cannot take).
+        with pytest.raises(ConfigurationError, match="rejected its parameters"):
+            build_counter(CounterSpec(name="space_saving", epsilon=0.01, track=10))
 
 
 class TestChooserBoundaries:

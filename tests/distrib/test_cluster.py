@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.api.registry import make_hierarchy
 from repro.api.session import Session
 from repro.api.specs import AlgorithmSpec, DistribSpec, ExperimentSpec
 from repro.core.faults import FaultEvent, FaultPlan
-from repro.core.shard import ShardedHHH
+from repro.core.shard import ShardedHHH, shard_of_key
 from repro.distrib.cluster import DistributedCluster
 from repro.eval.ground_truth import GroundTruth
 from repro.exceptions import ConfigurationError
@@ -92,6 +93,32 @@ class TestLockstep:
             cluster.update((int(src), int(dst)))
             reference.update((int(src), int(dst)))
         assert cluster.output(THETA).candidates == reference.output(THETA).candidates
+
+
+class TestObjectKeyPairBatch:
+    """A 2-D object-dtype key-pair batch routes as the tuples its rows stand for.
+
+    The cluster once iterated the raw numpy rows here and crashed hashing
+    them, while the sharded engine accepted the same batch.
+    """
+
+    PARTS = 3
+    KEYS = np.array([(1 << 24, 2 << 24), (3 << 24, 4 << 24)], dtype=object)
+
+    @pytest.mark.parametrize("weights", [None, [3, 5]], ids=["unit", "weighted"])
+    def test_both_engines_route_each_key_to_its_owning_part(self, weights):
+        spec = dataclasses.replace(_spec(), distrib=DistribSpec(switches=self.PARTS))
+        cluster = DistributedCluster(spec)
+        sharded = ShardedHHH(spec.algorithm, "2d-bytes", self.PARTS, parallel=False)
+        cluster.update_batch(self.KEYS, weights)
+        sharded.update_batch(self.KEYS, weights)
+        expected = [0] * self.PARTS
+        for row, weight in zip(self.KEYS.tolist(), weights or [1, 1]):
+            expected[shard_of_key(tuple(row), self.PARTS)] += weight
+        assert sum(1 for part_total in expected if part_total) == 2
+        assert cluster.total == sharded.total == sum(expected)
+        assert [node.total for node in cluster.nodes] == expected
+        assert [sharded.shard_algorithm(part).total for part in range(self.PARTS)] == expected
 
 
 class TestSoundnessUnderFaults:
